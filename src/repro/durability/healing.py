@@ -11,8 +11,8 @@ or ``ParallelSUT``) and keeps the run alive through backend outages:
   primary;
 * with ``hedge_delay`` set, a query that the primary has not answered
   after that long is *hedged*: re-issued to the standby under the same
-  query id, first clean answer wins, the shared
-  :class:`~repro.faults.filtering.CompletionFilter` absorbs the loser;
+  query id, first clean answer wins, the attempt engine
+  (:class:`~repro.faults.filtering.CompletionFilter`) absorbs the loser;
 * a primary failure (``QueryFailure`` or malformed response set) fails
   over to the standby immediately instead of waiting out the deadline.
 
@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.events import EventHandle, EventLoop
-from ..core.query import Query, StreamChunk
+from ..core.events import EventLoop
+from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
-from ..faults.filtering import CompletionFilter
+from ..faults.filtering import Attempt, CompletionFilter
 from ..metrics import MetricsRegistry
 from .breaker import STATE_CODES, BreakerPolicy, BreakerState, CircuitBreaker
 
@@ -94,31 +94,6 @@ class _BreakerInstruments:
             "Primary outcomes recorded as failures by the breaker")
 
 
-@dataclass
-class _Guarded:
-    """Per-query in-flight state."""
-
-    query: Query
-    routed: str  # "primary" | "standby"
-    probe: bool = False
-    hedged: bool = False
-    primary_dead: bool = False
-    standby_dead: bool = False
-    #: Run time of admission - anchors the total budget when streaming
-    #: progress re-arms the deadline.
-    started: float = 0.0
-    deadline_timer: Optional[EventHandle] = None
-    hedge_timer: Optional[EventHandle] = None
-
-    def cancel_timers(self) -> None:
-        if self.deadline_timer is not None:
-            self.deadline_timer.cancel()
-            self.deadline_timer = None
-        if self.hedge_timer is not None:
-            self.hedge_timer.cancel()
-            self.hedge_timer = None
-
-
 class SelfHealingSUT(SutBase):
     """Circuit breaker + hedged standby around a primary backend."""
 
@@ -163,7 +138,11 @@ class SelfHealingSUT(SutBase):
         self.total_timeout = total_timeout
         self.hedge_delay = hedge_delay
         self.stats = HealingStats()
-        self._filter = CompletionFilter()
+        #: One deadline per query: failovers and hedges run under it.
+        self._attempts = CompletionFilter(
+            self, timeout=attempt_timeout, budget=total_timeout,
+            lost=self._lost, succeeded=self._succeeded, stale=self._stale,
+            accepts=self._accepts)
         self._breaker: Optional[CircuitBreaker] = None
         self._m = (
             _BreakerInstruments(registry, self._state_code)
@@ -186,7 +165,7 @@ class SelfHealingSUT(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = HealingStats()
-        self._filter = CompletionFilter()
+        self._attempts.reset(loop)
         self._breaker = CircuitBreaker(
             self.policy, clock=lambda: loop.now,
             on_transition=self._on_transition)
@@ -208,148 +187,110 @@ class SelfHealingSUT(SutBase):
             if self.standby is not None:
                 # Shed *from the primary*: the standby carries the load
                 # while the breaker waits out the outage.
-                state = self._filter.admit(
-                    query, _Guarded(query=query, routed="standby",
-                                    started=self.loop.now))
+                state = self._attempts.open(query, "standby")
                 self.stats.standby_queries += 1
-                self._arm_deadline(state)
-                self.standby.issue_query(query)
+                self._attempts.launch(state, self._send_standby)
             else:
                 self.stats.shed_queries += 1
                 self.fail(
                     query,
                     "circuit breaker open: primary backend shedding load")
             return
-        state = self._filter.admit(
-            query,
-            _Guarded(query=query, routed="primary",
-                     probe=(verdict == "probe"), started=self.loop.now))
+        state = self._attempts.open(query, "primary",
+                                    probe=(verdict == "probe"))
         if state.probe:
             self.stats.probe_queries += 1
             if self._m:
                 self._m.probes.inc()
-        self._arm_deadline(state)
-        if (self.hedge_delay is not None and self.standby is not None
-                and not state.probe):
-            state.hedge_timer = self.loop.schedule_after(
-                self.hedge_delay, lambda: self._hedge(state))
-        self.primary.issue_query(query)
+        self._attempts.launch(state, self._send_primary)
 
     def flush(self) -> None:
         self.primary.flush()
         if self.standby is not None:
             self.standby.flush()
 
-    # -- timers -----------------------------------------------------------------
+    def _send_primary(self, state: Attempt) -> None:
+        if (self.hedge_delay is not None and self.standby is not None
+                and not state.probe):
+            state.hedge_timer = self.loop.schedule_after(
+                self.hedge_delay, lambda: self._hedge(state))
+        self.primary.issue_query(state.query)
 
-    def _arm_deadline(self, state: _Guarded) -> None:
-        deadline = self.attempt_timeout
-        if self.total_timeout is not None:
-            deadline = min(deadline, self.total_timeout)
-        state.deadline_timer = self.loop.schedule_after(
-            deadline, lambda: self._deadline(state))
+    def _send_standby(self, state: Attempt) -> None:
+        self.standby.issue_query(state.query)
 
-    def _deadline(self, state: _Guarded) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return  # resolved in the meantime
-        state.cancel_timers()
-        self._filter.resolve(state.query.id)
-        if state.routed == "primary" and not state.primary_dead:
-            self.stats.primary_failures += 1
-            self.breaker.record_failure(probe=state.probe)
-            if self._m:
-                self._m.failures.inc()
-        self.stats.deadline_failures += 1
-        where = state.routed if not state.hedged else "primary or standby"
-        self.fail(
-            state.query,
-            f"no response from {where} within {self.attempt_timeout:g}s")
-
-    def _hedge(self, state: _Guarded) -> None:
-        if self._filter.get(state.query.id) is not state or state.hedged:
+    def _hedge(self, state: Attempt) -> None:
+        if self._attempts.get(state.query.id) is not state or state.hedged:
             return
         state.hedged = True
         self.stats.hedged_queries += 1
         if self._m:
             self._m.hedges.inc()
-        assert self.standby is not None
         # The standby's stream starts over at seq 0; both attempts draw
         # the same per-query stream plan, so whichever source is ahead
         # after the restart screens clean without double-counting.
-        self._filter.restart_stream(state.query.id)
-        self.standby.issue_query(state.query)
+        self._attempts.hedge(state, self._send_standby)
 
     # -- completions ------------------------------------------------------------
 
     def _from_primary(self, query: Query, responses) -> None:
-        self._on_completion("primary", query, responses)
+        self._attempts.deliver(query.id, responses, "primary")
 
     def _from_standby(self, query: Query, responses) -> None:
-        self._on_completion("standby", query, responses)
+        self._attempts.deliver(query.id, responses, "standby")
 
-    def _on_chunk(self, source: str, query: Query,
-                  chunk: StreamChunk) -> None:
-        current = self._filter.get(query.id)
-        if current is not None and source == "primary" and current.primary_dead:
-            # A failed-over primary may keep streaming; drop its chunks
-            # *before* screening so they cannot advance the stream
-            # progress the standby's attempt is being screened against.
-            self.stats.filtered_completions += 1
-            return
-        screened = self._filter.screen_chunk(query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.filtered_completions += 1
-            return
-        state: _Guarded = screened.state
-        # Streaming progress re-arms the deadline (the backend is
-        # alive), still bounded by the query's total budget.
-        if state.deadline_timer is not None:
-            state.deadline_timer.cancel()
-        deadline = self.attempt_timeout
-        if self.total_timeout is not None:
-            deadline = max(
-                0.0,
-                min(deadline,
-                    self.total_timeout - (self.loop.now - state.started)),
-            )
-        state.deadline_timer = self.loop.schedule_after(
-            deadline, lambda: self._deadline(state))
-        self._responder(query, chunk)
+    @staticmethod
+    def _accepts(state: Attempt, source: str, chunk: bool) -> bool:
+        # A failed-over primary may keep streaming; its chunks are
+        # dropped *before* screening so they cannot advance the stream
+        # progress the standby's attempt is screened against.  Its
+        # terminal answer is still welcome: the first clean one wins.
+        return not (chunk and source == "primary" and "primary" in state.dead)
 
-    def _on_completion(self, source: str, query: Query, responses) -> None:
-        if isinstance(responses, StreamChunk):
-            self._on_chunk(source, query, responses)
-            return
-        screened = self._filter.screen(query, responses)
-        if screened.stale:
-            # Duplicate, hedge loser, or post-deadline straggler: the
-            # healing layer absorbs it so the referee never sees it.
-            self.stats.filtered_completions += 1
-            return
-        state: _Guarded = screened.state
-        if screened.flaw is not None:
-            self._on_flaw(source, state, screened.flaw)
-            return
-        state.cancel_timers()
-        self._filter.resolve(query.id)
+    def _stale(self, source, responses) -> None:
+        # Duplicate, hedge loser, or post-deadline straggler: the
+        # healing layer absorbs it so the referee never sees it.
+        self.stats.filtered_completions += 1
+
+    def _succeeded(self, state: Attempt, source: str) -> None:
+        self._cancel_hedge(state)
         if source == "primary":
             self.breaker.record_success(probe=state.probe)
         else:
             self.stats.standby_completions += 1
             if self._m:
                 self._m.standby.inc()
-            if state.routed == "primary":
+            if state.target == "primary":
                 self.stats.hedge_wins += 1
-        self.complete(query, responses)
 
-    def _on_flaw(self, source: str, state: _Guarded, flaw: str) -> None:
-        qid = state.query.id
+    def _record_primary_failure(self, state: Attempt) -> None:
+        self.stats.primary_failures += 1
+        self.breaker.record_failure(probe=state.probe)
+        if self._m:
+            self._m.failures.inc()
+
+    @staticmethod
+    def _cancel_hedge(state: Attempt) -> None:
+        if state.hedge_timer is not None:
+            state.hedge_timer.cancel()
+            state.hedge_timer = None
+
+    def _lost(self, state: Attempt, flaw: Optional[str],
+              source: Optional[str]) -> None:
+        if flaw is None:
+            # The query's one deadline expired.
+            self._cancel_hedge(state)
+            if state.target == "primary" and "primary" not in state.dead:
+                self._record_primary_failure(state)
+            self.stats.deadline_failures += 1
+            where = state.target if not state.hedged else "primary or standby"
+            self._attempts.give_up(
+                state,
+                f"no response from {where} within {self.attempt_timeout:g}s")
+            return
+        state.dead += (source,)
         if source == "primary":
-            state.primary_dead = True
-            self.stats.primary_failures += 1
-            self.breaker.record_failure(probe=state.probe)
-            if self._m:
-                self._m.failures.inc()
+            self._record_primary_failure(state)
             if self.standby is not None and not state.hedged:
                 # Fail over immediately rather than waiting out the
                 # deadline on a primary that already answered badly.
@@ -357,15 +298,11 @@ class SelfHealingSUT(SutBase):
                 self.stats.failovers += 1
                 if self._m:
                     self._m.hedges.inc()
-                self._filter.restart_stream(qid)
-                self.standby.issue_query(state.query)
+                self._attempts.hedge(state, self._send_standby)
                 return
-            if self.standby is not None and not state.standby_dead:
+            if self.standby is not None and "standby" not in state.dead:
                 return  # the standby attempt is still in flight
-        else:
-            state.standby_dead = True
-            if state.routed == "primary" and not state.primary_dead:
-                return  # the primary attempt is still in flight
-        state.cancel_timers()
-        self._filter.resolve(qid)
-        self.fail(state.query, flaw)
+        elif state.target == "primary" and "primary" not in state.dead:
+            return  # the primary attempt is still in flight
+        self._cancel_hedge(state)
+        self._attempts.give_up(state, flaw)

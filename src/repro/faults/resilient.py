@@ -26,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.events import EventHandle, EventLoop
-from ..core.query import Query, StreamChunk
+from ..core.events import EventLoop
+from ..core.query import Query
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..metrics import MetricsRegistry
-from .filtering import CompletionFilter
+from .filtering import Attempt, CompletionFilter
 
 #: Domain-separation tag mixed into the backoff-jitter seed stream so it
 #: can never collide with the fault injector's (seed, query, attempt)
@@ -199,18 +199,15 @@ class _ResilienceInstruments:
             "Attempts whose response set was unusable")
 
 
-@dataclass
-class _Inflight:
-    query: Query
-    attempt: int = 0
-    #: Run time of the first issue - the anchor the per-query
-    #: ``total_timeout`` budget is measured from.
-    started: float = 0.0
-    timer: Optional[EventHandle] = None
-
-
 class ResilientSUT(SutBase):
-    """Bounded retry + per-attempt deadline around an inner SUT."""
+    """Bounded retry + per-attempt deadline around an inner SUT.
+
+    The attempt engine (:class:`~repro.faults.filtering.CompletionFilter`)
+    runs deadlines, clamped to :attr:`RetryPolicy.total_timeout`, and
+    screens every answer; this wrapper decides only what a lost attempt
+    costs: a jittered backoff and a retry on the same inner SUT, or a
+    recorded failure once attempts or budget run out.
+    """
 
     def __init__(
         self,
@@ -225,7 +222,10 @@ class ResilientSUT(SutBase):
         self.policy = policy if policy is not None else RetryPolicy()
         self.seed = seed
         self.stats = ResilienceStats()
-        self._filter = CompletionFilter()
+        self._attempts = CompletionFilter(
+            self, timeout=self.policy.attempt_timeout,
+            budget=self.policy.total_timeout, lost=self._lost,
+            succeeded=self._succeeded, stale=self._stale)
         self._m = (
             _ResilienceInstruments(registry) if registry is not None
             else None
@@ -234,60 +234,43 @@ class ResilientSUT(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = ResilienceStats()
-        self._filter = CompletionFilter()
+        self._attempts.reset(loop)
         self.inner.start_run(loop, self._on_inner_completion)
 
     def issue_query(self, query: Query) -> None:
-        state = self._filter.admit(
-            query, _Inflight(query=query, started=self.loop.now))
-        self._attempt(state)
+        self._attempts.launch(self._attempts.open(query), self._send)
 
     def flush(self) -> None:
         self.inner.flush()
 
-    # -- attempts ---------------------------------------------------------------
+    def _send(self, state: Attempt) -> None:
+        self.inner.issue_query(state.query)
 
-    def _budget_left(self, state: _Inflight) -> Optional[float]:
-        """Run time remaining in the query's total budget (None: uncapped)."""
-        if self.policy.total_timeout is None:
-            return None
-        return self.policy.total_timeout - (self.loop.now - state.started)
+    def _on_inner_completion(self, query: Query, responses) -> None:
+        self._attempts.deliver(query.id, responses)
 
-    def _give_up(self, state: _Inflight, reason: str) -> None:
-        self._filter.resolve(state.query.id)
+    # -- routing policy ---------------------------------------------------------
+
+    def _give_up(self, state: Attempt, reason: str) -> None:
         self.stats.gave_up_queries += 1
         if self._m:
             self._m.gave_up.inc()
-        self.fail(state.query, reason)
+        self._attempts.give_up(state, reason)
 
-    def _attempt(self, state: _Inflight) -> None:
-        timeout = self.policy.attempt_timeout
-        remaining = self._budget_left(state)
-        if remaining is not None:
-            if remaining <= 0:
-                self._give_up(state, self._budget_reason(state))
-                return
-            # The deadline never drifts past the budget: the final
-            # attempt gets only what is left of it.
-            timeout = min(timeout, remaining)
-        state.timer = self.loop.schedule_after(
-            timeout, lambda: self._attempt_lost(state)
-        )
-        self.inner.issue_query(state.query)
-
-    def _budget_reason(self, state: _Inflight) -> str:
+    def _budget_reason(self, state: Attempt) -> str:
         return (
             f"retry budget exhausted: {self.policy.total_timeout:g}s "
             f"total_timeout spent over {state.attempt + 1} attempts"
         )
 
-    def _attempt_lost(self, state: _Inflight) -> None:
-        qid = state.query.id
-        if self._filter.get(qid) is not state:
-            return  # resolved in the meantime
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+    def _lost(self, state: Attempt, flaw: Optional[str], source) -> None:
+        if flaw is not None:
+            # A bad attempt is a lost attempt; retry immediately rather
+            # than waiting out the deadline.
+            self.stats.malformed_attempts += 1
+            if self._m:
+                self._m.malformed.inc()
+        self._attempts.disarm(state)
         if state.attempt + 1 >= self.policy.max_attempts:
             self._give_up(
                 state,
@@ -296,7 +279,7 @@ class ResilientSUT(SutBase):
             return
         backoff = self.policy.jittered_backoff(
             state.attempt, self.seed, state.query.id)
-        remaining = self._budget_left(state)
+        remaining = self._attempts.remaining(state)
         if remaining is not None:
             if remaining <= 0:
                 self._give_up(state, self._budget_reason(state))
@@ -316,67 +299,25 @@ class ResilientSUT(SutBase):
             self._m.retries.inc()
         self.loop.schedule_after(backoff, lambda: self._reissue(state))
 
-    def _reissue(self, state: _Inflight) -> None:
-        if self._filter.get(state.query.id) is state:
-            # The new attempt's stream starts over at seq 0; forget the
-            # dead attempt's chunk progress so its chunks are not
-            # double-counted and the restart screens clean.
-            self._filter.restart_stream(state.query.id)
-            self._attempt(state)
+    def _reissue(self, state: Attempt) -> None:
+        if self._attempts.get(state.query.id) is not state:
+            return  # resolved during the backoff
+        remaining = self._attempts.remaining(state)
+        if remaining is not None and remaining <= 0:
+            self._give_up(state, self._budget_reason(state))
+            return
+        self._attempts.launch(state, self._send)
 
-    # -- inner completions ------------------------------------------------------
-
-    def _on_chunk(self, query: Query, chunk: StreamChunk) -> None:
-        screened = self._filter.screen_chunk(query, chunk)
-        if screened.stale or screened.flaw is not None:
-            # Straggler chunks from a dead attempt (or for a resolved
-            # query) are absorbed; they are progress reports, not
-            # evidence the live attempt failed.
-            self.stats.filtered_completions += 1
-            if self._m:
-                self._m.filtered.inc()
-            return
-        state = screened.state
-        # Streaming progress resets the per-attempt deadline: the
-        # attempt is alive, so the timeout meters the gap between
-        # chunks rather than the whole stream.
-        if state.timer is not None:
-            state.timer.cancel()
-        timeout = self.policy.attempt_timeout
-        remaining = self._budget_left(state)
-        if remaining is not None:
-            timeout = max(0.0, min(timeout, remaining))
-        state.timer = self.loop.schedule_after(
-            timeout, lambda: self._attempt_lost(state)
-        )
-        self._responder(query, chunk)
-
-    def _on_inner_completion(self, query: Query, responses) -> None:
-        if isinstance(responses, StreamChunk):
-            self._on_chunk(query, responses)
-            return
-        screened = self._filter.screen(query, responses)
-        if screened.stale:
-            # Duplicate, unsolicited, or post-deadline straggler: the
-            # resilience layer absorbs it so the referee never sees it.
-            self.stats.filtered_completions += 1
-            if self._m:
-                self._m.filtered.inc()
-            return
-        state = screened.state
-        if screened.flaw is not None:
-            # A bad attempt is a lost attempt; retry immediately rather
-            # than waiting out the deadline.
-            self.stats.malformed_attempts += 1
-            if self._m:
-                self._m.malformed.inc()
-            self._attempt_lost(state)
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        self._filter.resolve(query.id)
+    def _succeeded(self, state: Attempt, source) -> None:
         if state.attempt > 0:
             self.stats.recovered_queries += 1
             if self._m:
                 self._m.recovered.inc()
-        self.complete(query, responses)
+
+    def _stale(self, source, responses) -> None:
+        # Duplicates, unsolicited answers, post-deadline stragglers and
+        # chunks of a dead attempt: absorbed so the referee never sees
+        # them.
+        self.stats.filtered_completions += 1
+        if self._m:
+            self._m.filtered.inc()

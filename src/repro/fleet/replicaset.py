@@ -24,8 +24,8 @@ Failure handling is reroute-first:
   detector's probe queries still reach its backend), and every rescue -
   kill, zone outage, or ejection - *warms the survivor's prefix cache*
   with the rescued session's prefix before re-issuing the turn;
-* stragglers from superseded attempts are absorbed by the shared
-  :class:`~repro.faults.filtering.CompletionFilter` idiom, so the
+* stragglers from superseded attempts are absorbed by the attempt
+  engine (:class:`~repro.faults.filtering.CompletionFilter`), so the
   referee sees exactly one terminal outcome per query.
 
 Replicas live in **zones** (fault domains): ``zones=`` stripes or maps
@@ -68,16 +68,16 @@ rationale lives in ``docs/fleet.md``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
 from ..core.query import Query, StreamChunk
 from ..core.sut import Responder, SutBase, SystemUnderTest
 from ..durability.breaker import BreakerPolicy
-from ..faults.filtering import CompletionFilter
+from ..faults.filtering import Attempt, CompletionFilter
 from ..metrics import MetricsRegistry
 from .balancer import BalancerPolicy, make_policy
 from .replica import DEFAULT_LATENCY_WINDOW, Replica, ReplicaHealth
@@ -172,23 +172,6 @@ class _FleetInstruments:
             "Rescued session prefixes admitted into survivor caches")
 
 
-@dataclass
-class _Routed:
-    """Per-query in-flight state (current attempt only)."""
-
-    query: Query
-    replica: int = -1
-    probe: bool = False
-    reroutes: int = 0
-    attempt_started: float = 0.0
-    deadline_timer: Optional[EventHandle] = None
-
-    def cancel_timer(self) -> None:
-        if self.deadline_timer is not None:
-            self.deadline_timer.cancel()
-            self.deadline_timer = None
-
-
 class ReplicaSet(SutBase):
     """N replicas behind a pluggable, breaker-aware load balancer."""
 
@@ -260,7 +243,11 @@ class ReplicaSet(SutBase):
         #: (empty when no factory was given).  Survives kills and
         #: drains: a revived replica keeps its warm cache.
         self.caches: Dict[int, SystemUnderTest] = {}
-        self._filter = CompletionFilter()
+        #: No budget: every dispatch arms a fresh ``attempt_timeout``.
+        self._attempts = CompletionFilter(
+            self, timeout=attempt_timeout, lost=self._lost,
+            succeeded=self._succeeded, stale=self._stale,
+            accepts=self._accepts)
         #: Indices parked DOWN by a completed scale-down drain, in drain
         #: order - scale-up revives the most recently parked first.
         self._parked: List[int] = []
@@ -295,7 +282,7 @@ class ReplicaSet(SutBase):
     def start_run(self, loop: EventLoop, responder: Responder) -> None:
         super().start_run(loop, responder)
         self.stats = FleetStats()
-        self._filter = CompletionFilter()
+        self._attempts.reset(loop)
         self.replicas = []
         self.caches = {}
         self._parked = []
@@ -361,12 +348,12 @@ class ReplicaSet(SutBase):
     # -- routing ----------------------------------------------------------------
 
     def issue_query(self, query: Query) -> None:
-        state = self._filter.admit(query, _Routed(query=query))
+        state = self._attempts.open(query)
         if not self._dispatch(state, exclude=None):
             self._shed(state, "no replica available: every replica is "
                               "down, draining, or shedding load")
 
-    def _dispatch(self, state: _Routed, exclude: Optional[int],
+    def _dispatch(self, state: Attempt, exclude: Optional[int],
                   rescue: bool = False) -> bool:
         """Hand the query's next attempt to the best admitting replica.
 
@@ -389,26 +376,23 @@ class ReplicaSet(SutBase):
                 self.stats.fallbacks += 1
                 if self._m:
                     self._m.fallbacks.inc()
-            state.replica = replica.index
+            state.target = replica.index
             state.probe = verdict == "probe"
-            state.attempt_started = self.loop.now
             replica.outstanding += 1
             replica.issued += 1
             self.stats.routed_queries += 1
             if self._m:
                 self._m.routed.labels(replica=replica.index).inc()
-            state.deadline_timer = self.loop.schedule_after(
-                self.attempt_timeout, lambda: self._deadline(state))
             if rescue:
                 self._warm_rescued_session(state.query, replica.index)
                 self.policy.notify_rescued(state.query, replica.index)
-            # A fresh attempt streams from seq 0; forget any chunk
-            # progress of the attempt this dispatch replaces so the
-            # restart screens clean without double-counting.
-            self._filter.restart_stream(state.query.id)
-            replica.sut.issue_query(state.query)
+            self._attempts.launch(state, self._send)
             return True
         return False
+
+    def _send(self, state: Attempt) -> None:
+        state.sent_at = self.loop.now
+        self.replicas[state.target].sut.issue_query(state.query)
 
     def _warm_rescued_session(self, query: Query, index: int) -> None:
         """Cross-replica cache admission: a rescued session turn already
@@ -426,72 +410,64 @@ class ReplicaSet(SutBase):
         if self._m:
             self._m.cache_warms.inc()
 
-    def _shed(self, state: _Routed, reason: str) -> None:
-        self._filter.resolve(state.query.id)
+    def _shed(self, state: Attempt, reason: str) -> None:
         self.stats.shed_queries += 1
         if self._m:
             self._m.shed.inc()
         # No replica served it; stateful policies (session affinity)
         # drop their routing state - a failed turn aborts its session.
         self.policy.notify_failed(state.query)
-        self.fail(state.query, reason)
+        self._attempts.give_up(state, reason)
 
-    def _reroute_or_fail(self, state: _Routed, exclude: int,
-                         reason: str) -> None:
-        """After a lost attempt on replica ``exclude``: try elsewhere
-        within the query's reroute budget, else fail it."""
-        if state.reroutes < self.max_reroutes:
-            state.reroutes += 1
-            self.stats.reroutes += 1
-            if self._m:
-                self._m.reroutes.inc()
-            if self._dispatch(state, exclude=exclude):
-                return
-        self._shed(state, reason)
+    # -- the attempt engine's callbacks -----------------------------------------
 
-    # -- timers -----------------------------------------------------------------
+    @staticmethod
+    def _accepts(state: Attempt, source: int, chunk: bool) -> bool:
+        # Anything from a replica the query was rerouted away from is a
+        # straggler, dropped before it can touch the live attempt's
+        # stream progress; its books were settled at reroute time.
+        return state.target == source
 
-    def _deadline(self, state: _Routed) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return  # resolved in the meantime
-        state.deadline_timer = None
-        index = state.replica
+    def _stale(self, source, responses) -> None:
+        # Absorbed: the referee sees one terminal outcome per query.
+        self.stats.stragglers_absorbed += 1
+        if self._m:
+            self._m.stragglers.inc()
+
+    def _lost(self, state: Attempt, flaw: Optional[str], source) -> None:
+        """The attempt on ``state.target`` timed out (``flaw`` is None)
+        or answered badly: charge the replica, then reroute within the
+        query's budget or fail it."""
+        self._attempts.disarm(state)
+        index = state.target
         replica = self.replicas[index]
         self._settle_attempt(replica, failed=True)
         replica.breaker.record_failure(probe=state.probe)
-        self.stats.deadline_failures += 1
-        self._reroute_or_fail(
-            state, exclude=index,
-            reason=(f"no response from replica {index} within "
-                    f"{self.attempt_timeout:g}s"))
-
-    # -- completions ------------------------------------------------------------
-
-    def _on_chunk(self, source: int, query: Query,
-                  chunk: StreamChunk) -> None:
-        current = self._filter.get(query.id)
-        if current is None or current.replica != source:
-            # Chunk from a replica the query was rerouted away from (or
-            # for a resolved query): a straggler, dropped before it can
-            # touch the live attempt's stream progress.
-            self.stats.stragglers_absorbed += 1
+        if flaw is None:
+            self.stats.deadline_failures += 1
+            flaw = (f"no response from replica {index} within "
+                    f"{self.attempt_timeout:g}s")
+        else:
+            self.stats.flawed_attempts += 1
+        if state.attempt < self.max_reroutes:
+            state.attempt += 1
+            self.stats.reroutes += 1
             if self._m:
-                self._m.stragglers.inc()
-            return
-        screened = self._filter.screen_chunk(query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.stragglers_absorbed += 1
-            if self._m:
-                self._m.stragglers.inc()
-            return
-        state: _Routed = screened.state
-        # Streaming progress re-arms the attempt deadline: the replica
-        # is alive, so the timeout meters inter-chunk gaps.
-        if state.deadline_timer is not None:
-            state.deadline_timer.cancel()
-        state.deadline_timer = self.loop.schedule_after(
-            self.attempt_timeout, lambda: self._deadline(state))
-        self._responder(query, chunk)
+                self._m.reroutes.inc()
+            if self._dispatch(state, exclude=index):
+                return
+        self._shed(state, flaw)
+
+    def _succeeded(self, state: Attempt, source: int) -> None:
+        replica = self.replicas[source]
+        self._settle_attempt(replica, failed=False)
+        replica.breaker.record_success(probe=state.probe)
+        replica.observe_latency(self.loop.now - state.sent_at)
+        # Close the routing feedback loop: the policy learns which
+        # replica *actually* served the query - through breaker
+        # rejections, reroutes, and kill rescues - so its state (e.g.
+        # session pins) tracks where the prefix really landed.
+        self.policy.notify_served(state.query, source)
 
     def _on_completion(self, source: int, query: Query, responses) -> None:
         if query.id in self._probes:
@@ -499,40 +475,7 @@ class ReplicaSet(SutBase):
                 return  # probes wait for their terminal outcome
             self._probes.pop(query.id)(query, responses)
             return
-        if isinstance(responses, StreamChunk):
-            self._on_chunk(source, query, responses)
-            return
-        screened = self._filter.screen(query, responses)
-        if screened.stale or screened.state.replica != source:
-            # Duplicate, post-resolution straggler, or an answer from a
-            # replica the query was already rerouted away from (its
-            # books were settled at reroute time).  Absorbed: the
-            # referee sees one terminal outcome per query.
-            self.stats.stragglers_absorbed += 1
-            if self._m:
-                self._m.stragglers.inc()
-            return
-        state: _Routed = screened.state
-        replica = self.replicas[source]
-        if screened.flaw is not None:
-            state.cancel_timer()
-            self._settle_attempt(replica, failed=True)
-            replica.breaker.record_failure(probe=state.probe)
-            self.stats.flawed_attempts += 1
-            self._reroute_or_fail(state, exclude=source,
-                                  reason=screened.flaw)
-            return
-        state.cancel_timer()
-        self._filter.resolve(query.id)
-        self._settle_attempt(replica, failed=False)
-        replica.breaker.record_success(probe=state.probe)
-        replica.observe_latency(self.loop.now - state.attempt_started)
-        # Close the routing feedback loop: the policy learns which
-        # replica *actually* served the query - through breaker
-        # rejections, reroutes, and kill rescues - so its state (e.g.
-        # session pins) tracks where the prefix really landed.
-        self.policy.notify_served(query, source)
-        self.complete(query, responses)
+        self._attempts.deliver(query.id, responses, source)
 
     def _settle_attempt(self, replica: Replica, *, failed: bool) -> None:
         replica.outstanding -= 1
@@ -551,10 +494,10 @@ class ReplicaSet(SutBase):
         fault).  Returns the number of rescued queries."""
         replica = self.replicas[index]
         rescued = 0
-        for state in list(self._filter.states()):
-            if state.replica != index:
+        for state in self._attempts.states():
+            if state.target != index:
                 continue
-            state.cancel_timer()
+            self._attempts.disarm(state)
             replica.outstanding -= 1
             self.stats.reroutes += 1
             if self._m:

@@ -9,9 +9,9 @@ unchanged; everything network-specific stays inside this adapter:
 * a small **connection pool**, queries issued round-robin across it;
 * **per-attempt deadlines** and bounded retries, re-sending under the
   *same* query id so a straggling first answer and a retried second one
-  are de-duplicated by the shared
-  :class:`~repro.faults.filtering.CompletionFilter` - the exact hygiene
-  logic the in-process retry wrapper uses;
+  are de-duplicated by the attempt engine
+  (:class:`~repro.faults.filtering.CompletionFilter`) the in-process
+  retry wrappers use;
 * **reconnect with backoff** when a connection drops, with the in-flight
   queries on it retried over surviving connections or reported through
   the failed-query machinery (never a hang);
@@ -32,14 +32,14 @@ import itertools
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.events import EventHandle, EventLoop
+from ..core.events import EventLoop
 from ..core.query import Query, QuerySampleResponse, StreamChunk
 from ..core.sut import Responder, SutBase
 from ..core.trace import TransportTiming
-from ..faults.filtering import CompletionFilter, malformed_reason
+from ..faults.filtering import Attempt, CompletionFilter
 from . import protocol
 from .protocol import FrameReader, FrameType, ProtocolError
 
@@ -126,17 +126,6 @@ class _Connection:
             pass
 
 
-@dataclass
-class _Pending:
-    """Loop-thread state for one in-flight query."""
-
-    query: Query
-    connection: _Connection
-    send_time: float
-    attempt: int = 0
-    timer: Optional[EventHandle] = None
-
-
 class NetworkSUT(SutBase):
     """Drive a remote :class:`~repro.network.server.InferenceServer`.
 
@@ -175,7 +164,10 @@ class NetworkSUT(SutBase):
         self.transport_records: Dict[int, TransportTiming] = {}
         #: The server's final STATS payload, captured by :meth:`close`.
         self.server_stats: Optional[Dict[str, object]] = None
-        self._filter = CompletionFilter()
+        self._attempts = CompletionFilter(
+            self, timeout=query_timeout, lost=self._lost,
+            succeeded=self._succeeded, stale=self._stale,
+            forward=self._forward_chunk)
         self._pool: List[_Connection] = []
         self._rr = 0
         self._closed = False
@@ -194,7 +186,7 @@ class NetworkSUT(SutBase):
         super().start_run(loop, responder)
         self.stats = NetworkStats()
         self.transport_records = {}
-        self._filter = CompletionFilter()
+        self._attempts.reset(loop)
         self._closed = False
         self._pool = [self._connect() for _ in range(self.pool_size)]
         for conn in self._pool:
@@ -237,56 +229,46 @@ class NetworkSUT(SutBase):
             self.stats.gave_up_queries += 1
             self.fail(query, "no live connection to server")
             return
-        state = self._filter.admit(
-            query,
-            _Pending(query=query, connection=conn, send_time=self.loop.now),
-        )
-        self._send_attempt(state)
+        state = self._attempts.open(query, conn)
+        self._attempts.launch(state, self._send_query)
 
     def flush(self) -> None:
         """Nothing is client-buffered; frames go out as queries arrive."""
 
-    # -- issue path (loop thread) -----------------------------------------------
+    # -- routing policy (loop thread) -------------------------------------------
 
-    def _send_attempt(self, state: _Pending) -> None:
-        state.timer = self.loop.schedule_after(
-            self.query_timeout, lambda: self._deadline(state)
-        )
+    def _send_query(self, state: Attempt) -> None:
+        # Every attempt restarts the wire clock, so a retried query's
+        # round trip does not include the dead attempt's deadline.
+        state.sent_at = self.loop.now
         self.stats.queries_sent += 1
-        if not self._send(state.connection, protocol.issue_frame(state.query)):
+        if not self._send(state.target, protocol.issue_frame(state.query)):
             # The write itself failed: this connection is gone.
-            self._connection_lost(state.connection)
+            self._connection_lost(state.target)
 
-    def _deadline(self, state: _Pending) -> None:
-        if self._filter.get(state.query.id) is not state:
-            return
-        self._attempt_lost(
-            state,
-            f"no response within {self.query_timeout}s deadline",
-        )
+    def _lost(self, state: Attempt, flaw: Optional[str], source) -> None:
+        if flaw is None:
+            reason = f"no response within {self.query_timeout}s deadline"
+        else:
+            self.stats.malformed_completions += 1
+            reason = f"malformed completion: {flaw}"
+        self._retry_or_give_up(state, reason)
 
-    def _attempt_lost(self, state: _Pending, reason: str) -> None:
+    def _retry_or_give_up(self, state: Attempt, reason: str) -> None:
         """This attempt is dead; retry on a live connection or give up."""
-        qid = state.query.id
-        if self._filter.get(qid) is not state:
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
+        if self._attempts.get(state.query.id) is not state:
+            return  # resolved while a dead connection was being swept
+        self._attempts.disarm(state)
         conn = self._pick_connection()
         if state.attempt + 1 < self.max_attempts and conn is not None:
             state.attempt += 1
-            state.connection = conn
+            state.target = conn
             self.stats.retries += 1
-            # The retried attempt streams from seq 0; forget the dead
-            # attempt's chunk progress so its restart screens clean.
-            self._filter.restart_stream(qid)
-            self._send_attempt(state)
+            self._attempts.launch(state, self._send_query)
             return
-        self._filter.resolve(qid)
         self.stats.gave_up_queries += 1
-        self.fail(
-            state.query,
+        self._attempts.give_up(
+            state,
             f"{reason} (after {state.attempt + 1} attempt(s))",
         )
 
@@ -313,62 +295,47 @@ class NetworkSUT(SutBase):
         server_send: float,
         recv_time: float,
     ) -> None:
-        state = self._filter.get(query_id)
-        if state is None:
-            # Duplicate or post-resolution straggler (e.g. the first
-            # attempt answering after a retry already completed).
-            self.stats.filtered_completions += 1
-            return
-        flaw = malformed_reason(state.query, responses)
-        if flaw is not None:
-            self.stats.malformed_completions += 1
-            self._attempt_lost(state, f"malformed completion: {flaw}")
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        self._filter.resolve(query_id)
+        self._attempts.deliver(
+            query_id, responses, (recv_time, server_recv, server_send))
+
+    def _succeeded(self, state: Attempt, source) -> None:
         if state.attempt > 0:
             self.stats.recovered_queries += 1
-        self.transport_records[query_id] = TransportTiming(
-            send_time=state.send_time,
+        recv_time, server_recv, server_send = source
+        self.transport_records[state.query.id] = TransportTiming(
+            send_time=state.sent_at,
             recv_time=recv_time,
             server_recv=server_recv,
             server_send=server_send,
         )
-        self.complete(state.query, responses)
 
     def _on_chunk(self, chunk: StreamChunk) -> None:
-        """Loop thread: screen one CHUNK frame and forward it upward.
+        """Loop thread: one CHUNK frame.  The engine drops stragglers
+        from a superseded attempt, duplicates and out-of-sequence
+        arrivals (the terminal COMPLETE still carries the authoritative
+        answer) and re-arms the deadline on clean ones - a server
+        mid-stream is not a server that timed out."""
+        self._attempts.deliver(chunk.query_id, chunk)
 
-        A clean chunk is progress, so it re-arms the per-attempt
-        deadline - a server mid-stream is not a server that timed out.
-        Flawed chunks (stragglers from a superseded attempt, duplicates,
-        out-of-sequence arrivals) are dropped, never retried: the
-        terminal COMPLETE still carries the authoritative answer.
-        """
-        state = self._filter.get(chunk.query_id)
-        if state is None:
-            self.stats.filtered_chunks += 1
-            return
-        screened = self._filter.screen_chunk(state.query, chunk)
-        if screened.stale or screened.flaw is not None:
-            self.stats.filtered_chunks += 1
-            return
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.loop.schedule_after(
-            self.query_timeout, lambda: self._deadline(state)
-        )
+    def _forward_chunk(self, query: Query, chunk: StreamChunk) -> None:
         self.stats.chunks_received += 1
-        self.emit_chunk(state.query, chunk)
+        self.emit_chunk(query, chunk)
+
+    def _stale(self, source, responses) -> None:
+        # Duplicates and post-resolution stragglers (e.g. the first
+        # attempt answering after a retry already completed).
+        if isinstance(responses, StreamChunk):
+            self.stats.filtered_chunks += 1
+        else:
+            self.stats.filtered_completions += 1
 
     def _on_fail(self, query_id: int, reason: str) -> None:
-        state = self._filter.get(query_id)
+        state = self._attempts.get(query_id)
         if state is None:
             self.stats.filtered_completions += 1
             return
         self.stats.server_failures += 1
-        self._attempt_lost(state, f"server failed the query: {reason}")
+        self._retry_or_give_up(state, f"server failed the query: {reason}")
 
     def _connection_lost(self, conn: _Connection) -> None:
         """Runs on the loop thread once ``conn`` is known dead."""
@@ -380,9 +347,9 @@ class NetworkSUT(SutBase):
         self.stats.connections_lost += 1
         # Every in-flight query that went out on this connection lost its
         # attempt; retry elsewhere or surface a recorded failure.
-        for state in list(self._filter.states()):
-            if state.connection is conn:
-                self._attempt_lost(state, "connection to server lost")
+        for state in self._attempts.states():
+            if state.target is conn:
+                self._retry_or_give_up(state, "connection to server lost")
         if not self._closed:
             threading.Thread(
                 target=self._reconnect_loop,

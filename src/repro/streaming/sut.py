@@ -11,7 +11,7 @@ inner SUT pass straight through, so streaming wrappers nest.
 Because chunks ride the normal responder channel, everything downstream
 (retry wrappers, the TCP server, the fleet) needs no special casing to
 *tolerate* streams; they only need extra code to *forward* them, which
-is exactly what ``CompletionFilter.screen_chunk`` provides.
+is what the attempt engine in :mod:`repro.faults.filtering` provides.
 """
 
 from __future__ import annotations
