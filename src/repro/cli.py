@@ -802,23 +802,10 @@ def _cmd_run(args) -> int:
         measure_offline,
         measure_single_stream,
     )
+    from .harness.netbench import SyntheticQSL
     from .sut.device import DeviceModel, ProcessorType
     from .sut.fleet import task_workload
     from .sut.simulated import SimulatedSUT
-
-    class NullQSL:
-        name = "cli"
-        total_sample_count = 8192
-        performance_sample_count = 1024
-
-        def load_samples(self, indices):
-            pass
-
-        def unload_samples(self, indices):
-            pass
-
-        def get_sample(self, index):
-            return None
 
     task = _TASKS[args.task]
     scenario = _SCENARIOS[args.scenario]
@@ -830,7 +817,7 @@ def _cmd_run(args) -> int:
         engines=args.engines,
     )
     workload = task_workload(task)
-    qsl = NullQSL()
+    qsl = SyntheticQSL()
 
     def make_sut():
         return SimulatedSUT(device, workload,
@@ -1017,6 +1004,13 @@ def _cmd_sweep(args) -> int:
     from .metrics import MetricsRegistry
     from .sut.echo import EchoSUT
 
+    try:
+        config = SweepConfig(qps_low=args.qps_low, qps_high=args.qps_high,
+                             resolution=args.resolution, mode=args.mode,
+                             max_probes=args.max_probes)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     session_workload = args.workload == "session"
     if session_workload:
         # The probed rate is the *session* arrival rate (sessions/s);
@@ -1183,10 +1177,7 @@ def _cmd_sweep(args) -> int:
             cache_rows.append((stats, dirty))
 
     harness = SweepHarness(
-        make_sut, SyntheticQSL(), settings,
-        SweepConfig(qps_low=args.qps_low, qps_high=args.qps_high,
-                    resolution=args.resolution, mode=args.mode,
-                    max_probes=args.max_probes),
+        make_sut, SyntheticQSL(), settings, config,
         services_factory=services_factory,
         probe_observer=observe,
     )

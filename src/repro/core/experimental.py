@@ -23,11 +23,12 @@ new arrival process).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .capacity import search_capacity
 from .config import Scenario, Task, TestSettings, task_rules
 from .events import EventLoop, RunAbortedError, VirtualClock
 from .loadgen import LoadGenResult
@@ -172,47 +173,15 @@ def find_max_burst_rate(
 
     Returns ``None`` when no rate down to ``min_rate`` qualifies.
     """
-    probes = 0
+    def probe(bursts_per_second: float) -> Tuple[bool, None]:
+        settings = replace(burst, bursts_per_second=bursts_per_second)
+        return run_burst_benchmark(sut_factory(), qsl, settings).valid, None
 
-    def valid_at(bursts_per_second: float) -> bool:
-        nonlocal probes
-        probes += 1
-        probe = BurstSettings(
-            task=burst.task, burst_size=burst.burst_size,
-            bursts_per_second=bursts_per_second,
-            latency_bound=burst.latency_bound,
-            min_query_count=burst.min_query_count,
-            min_duration=burst.min_duration, seed=burst.seed,
-        )
-        return run_burst_benchmark(sut_factory(), qsl, probe).valid
-
-    rate = burst.bursts_per_second
-    if valid_at(rate):
-        lo = rate
-        hi = rate
-        while probes < max_probes:
-            hi *= 4.0
-            if not valid_at(hi):
-                break
-            lo = hi
-        else:
-            return lo * burst.burst_size
-    else:
-        hi = rate
-        lo = None
-        while probes < max_probes and hi / 4.0 >= min_rate:
-            candidate = hi / 4.0
-            if valid_at(candidate):
-                lo = candidate
-                break
-            hi = candidate
-        if lo is None:
-            return None
-
-    while hi / lo > 1.0 + relative_tolerance and probes < max_probes:
-        mid = math.sqrt(lo * hi)
-        if valid_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * burst.burst_size
+    found = search_capacity(
+        probe, burst.bursts_per_second, lambda rate: rate * 4.0,
+        shrink=lambda rate: rate / 4.0, floor=min_rate,
+        midpoint=lambda lo, hi: math.sqrt(lo * hi),
+        resolved=lambda lo, hi: hi / lo <= 1.0 + relative_tolerance,
+        max_probes=max_probes,
+    )
+    return None if found.best is None else found.best * burst.burst_size

@@ -9,14 +9,15 @@ rather than guessing, running one full (virtual-clock, deterministic)
 Server run per probe and judging each probe with the referee's own
 validity rules.
 
-Two search modes:
+Two search modes, both run by :func:`repro.core.capacity.search_capacity`:
 
 * ``"binary"`` - bracket ``[qps_low, qps_high]`` and bisect on the
   run verdict down to ``resolution``.  Sound whenever validity is
   monotone in the arrival rate (true for capacity-limited SUTs; the
   benchmark study checks the found rate against a dense step scan).
 * ``"step"`` - walk upward in ``resolution`` increments until the first
-  invalid run; exact by construction, linear in the range.
+  invalid run, with no bisection; exact by construction, linear in the
+  range.
 
 The result is a :class:`SweepResult` whose :meth:`~SweepResult.report`
 is a ``BENCH_fleet.json``-style capacity document (the ``repro sweep``
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from ..core.capacity import search_capacity
 from ..core.config import Scenario, TestSettings
 from ..core.events import Clock
 from ..core.loadgen import run_benchmark
@@ -213,52 +215,31 @@ class SweepHarness:
             # referee then judges on session validity (stalls, aborts,
             # completion minimums) alone.
             bound = float("nan")
-        result = SweepResult(
-            config=self.config,
+        cfg = self.config
+        if cfg.mode == "binary":
+            # One jump from qps_low to qps_high, then bisection.
+            found = search_capacity(
+                self._judged, cfg.qps_low, lambda qps: cfg.qps_high,
+                ceiling=cfg.qps_high,
+                midpoint=lambda lo, hi: (lo + hi) / 2.0,
+                resolved=lambda lo, hi: hi - lo <= cfg.resolution,
+                max_probes=cfg.max_probes)
+        else:
+            # A walk without bisection.  The epsilon admits qps_high
+            # itself despite float step error.
+            found = search_capacity(
+                self._judged, cfg.qps_low, lambda qps: qps + cfg.resolution,
+                ceiling=cfg.qps_high + 1e-9 * cfg.qps_high,
+                max_probes=cfg.max_probes)
+        return SweepResult(
+            config=cfg,
             latency_bound=bound,
             max_violation_fraction=(
                 self.settings.resolved_max_violation_fraction),
+            probes=[probe.record for probe in found.history],
+            max_qps=found.best,
         )
-        if self.config.mode == "binary":
-            self._binary(result)
-        else:
-            self._step(result)
-        return result
 
-    def _probe_into(self, result: SweepResult, qps: float) -> SweepProbe:
+    def _judged(self, qps: float) -> Tuple[bool, SweepProbe]:
         probe = self.probe(qps)
-        result.probes.append(probe)
-        return probe
-
-    def _binary(self, result: SweepResult) -> None:
-        cfg = self.config
-        low = self._probe_into(result, cfg.qps_low)
-        if not low.valid:
-            result.max_qps = None
-            return
-        high = self._probe_into(result, cfg.qps_high)
-        if high.valid:
-            result.max_qps = cfg.qps_high
-            return
-        lo, hi = cfg.qps_low, cfg.qps_high
-        while (hi - lo > cfg.resolution
-               and len(result.probes) < cfg.max_probes):
-            mid = (lo + hi) / 2.0
-            if self._probe_into(result, mid).valid:
-                lo = mid
-            else:
-                hi = mid
-        result.max_qps = lo
-
-    def _step(self, result: SweepResult) -> None:
-        cfg = self.config
-        best: Optional[float] = None
-        qps = cfg.qps_low
-        # The epsilon admits qps_high itself despite float step error.
-        while (qps <= cfg.qps_high + 1e-9 * cfg.qps_high
-               and len(result.probes) < cfg.max_probes):
-            if not self._probe_into(result, qps).valid:
-                break
-            best = qps
-            qps += cfg.resolution
-        result.max_qps = best
+        return probe.valid, probe

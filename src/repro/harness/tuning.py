@@ -2,9 +2,10 @@
 
 The server and multistream metrics are *capacities*: the highest Poisson
 rate (resp. stream count N) at which the run is still valid.  Real
-submitters tune these by repeated runs; this module automates that with
-geometric bracketing plus bisection, re-running the LoadGen at each
-probe.
+submitters tune these by repeated runs; this module automates that.
+Each tuner supplies only its probe - LoadGen runs at one rate or N - and
+its axis to :func:`repro.core.capacity.search_capacity`, which brackets
+and bisects (geometrically for the rate, over integers for N).
 
 ``RunScale`` lets experiments trade statistical weight for wall time:
 ``full`` applies the paper's exact Table IV/V minimums (270,336 queries
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from ..core.capacity import search_capacity
 from ..core.config import (
     SERVER_REQUIRED_RUNS,
     Scenario,
@@ -143,49 +145,24 @@ def find_max_server_qps(
         settings = settings.with_overrides(seed=seed)
     settings = scale.apply(settings)
 
-    probes = 0
+    def probe(qps: float) -> Tuple[bool, Optional[LoadGenResult]]:
+        result = _probe_server(sut_factory, qsl, settings, qps,
+                               scale.server_runs)
+        return result is not None, result
 
-    def valid_at(qps: float) -> Optional[LoadGenResult]:
-        nonlocal probes
-        probes += 1
-        return _probe_server(sut_factory, qsl, settings, qps,
-                             scale.server_runs)
-
-    # Bracket: grow until invalid, shrink until valid.
-    lo_result = valid_at(start_qps)
-    if lo_result is None:
-        hi = start_qps
-        lo = None
-        while probes < max_probes and hi / 4.0 >= min_qps:
-            candidate = hi / 4.0
-            result = valid_at(candidate)
-            if result is not None:
-                lo, lo_result = candidate, result
-                break
-            hi = candidate
-        if lo is None:
-            return None
-    else:
-        lo = start_qps
-        hi = start_qps
-        while probes < max_probes:
-            hi = hi * 4.0
-            result = valid_at(hi)
-            if result is None:
-                break
-            lo, lo_result = hi, result
-        else:
-            raise RuntimeError("server rate search did not bracket a failure")
-
-    # Bisect [lo valid, hi invalid].
-    while hi / lo > 1.0 + relative_tolerance and probes < max_probes:
-        mid = math.sqrt(lo * hi)
-        result = valid_at(mid)
-        if result is None:
-            hi = mid
-        else:
-            lo, lo_result = mid, result
-    return TunedResult(value=lo, result=lo_result, probes=probes)
+    found = search_capacity(
+        probe, start_qps, lambda qps: qps * 4.0,
+        shrink=lambda qps: qps / 4.0, floor=min_qps,
+        midpoint=lambda lo, hi: math.sqrt(lo * hi),
+        resolved=lambda lo, hi: hi / lo <= 1.0 + relative_tolerance,
+        max_probes=max_probes,
+    )
+    if found.best is None:
+        return None
+    if not found.bracketed:
+        raise RuntimeError("server rate search did not bracket a failure")
+    return TunedResult(value=found.best, result=found.record,
+                       probes=len(found.history))
 
 
 def find_max_multistream_n(
@@ -208,47 +185,22 @@ def find_max_multistream_n(
         settings = settings.with_overrides(seed=seed)
     settings = scale.apply(settings)
 
-    probes = 0
-
-    def run_at(n: int) -> Optional[LoadGenResult]:
-        nonlocal probes
-        probes += 1
+    def probe(n: int) -> Tuple[bool, LoadGenResult]:
         result = run_benchmark(
             sut_factory(), qsl,
             settings.with_overrides(multistream_samples_per_query=n),
         )
-        return result if result.valid else None
+        return result.valid, result
 
-    best: Optional[Tuple[int, LoadGenResult]] = None
-    lo = 1
-    result = run_at(lo)
-    if result is None:
+    found = search_capacity(
+        probe, 1, lambda n: n * 2, ceiling=max_n,
+        midpoint=lambda lo, hi: (lo + hi) // 2,
+        resolved=lambda lo, hi: hi - lo <= 1,
+    )
+    if found.best is None:
         return None
-    best = (lo, result)
-
-    hi = 2
-    while hi <= max_n:
-        result = run_at(hi)
-        if result is None:
-            break
-        best = (hi, result)
-        lo = hi
-        hi *= 2
-    else:
-        return TunedResult(value=float(best[0]), result=best[1],
-                           probes=probes)
-
-    # Bisect integers in (lo valid, hi invalid).
-    low, high = lo, hi
-    while high - low > 1:
-        mid = (low + high) // 2
-        result = run_at(mid)
-        if result is None:
-            high = mid
-        else:
-            low = mid
-            best = (mid, result)
-    return TunedResult(value=float(best[0]), result=best[1], probes=probes)
+    return TunedResult(value=float(found.best), result=found.record,
+                       probes=len(found.history))
 
 
 def measure_offline(
